@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kernels import resolve_backend
-from repro.kernels._segments import cumsum0 as _cumsum0
+from repro.kernels._segments import cumsum0 as _cumsum0, group_argsort, group_median_sorted
 
 #: Along-track gap (m) above which open-water segments belong to separate leads.
 LEAD_MAX_GAP_M = 100.0
@@ -156,22 +156,6 @@ def window_estimates_reference(
 # ---------------------------------------------------------------------------
 
 
-def _group_median_sorted(
-    values: np.ndarray, offsets: np.ndarray, counts: np.ndarray
-) -> np.ndarray:
-    """Median per group over values already sorted within each group.
-
-    Matches ``np.median`` exactly: the middle element for odd counts, the
-    mean of the two middle elements for even counts.  Empty groups get NaN.
-    """
-    med = np.full(counts.size, np.nan)
-    nz = counts > 0
-    lo = offsets[:-1][nz] + (counts[nz] - 1) // 2
-    hi = offsets[:-1][nz] + counts[nz] // 2
-    med[nz] = (values[lo] + values[hi]) / 2.0
-    return med
-
-
 def _lerp(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Linear interpolation identical to numpy's quantile ``_lerp``."""
     diff = b - a
@@ -267,24 +251,16 @@ def window_estimates_vectorized(
     member = np.arange(total) + np.repeat(lo - offsets[:-1], sizes)
     h = height_m[member]
 
-    # Heights sorted within each window, via a single quicksort of unique
-    # integer keys: rank every base segment's height once, then sort
-    # window-major composite keys.  (Unstable sort is fine — the sorted view
-    # only ever feeds order statistics, which are tie-independent.)
-    n_base = along_m.size
-    rank = np.empty(n_base, dtype=np.int64)
-    rank[np.argsort(height_m)] = np.arange(n_base)
-    key = win * n_base + rank[member]
-    if n_windows * n_base < np.iinfo(np.int32).max:
-        key = key.astype(np.int32)  # int32 quicksort is measurably faster
-    perm = np.argsort(key)
+    # Heights sorted within each window.  (Sorting by rank is fine — the
+    # sorted view only ever feeds order statistics, which are tie-independent.)
+    perm = group_argsort(height_m, win, n_windows, member)
     sorted_h = h[perm]
 
     # MAD outlier rejection, all windows at once.  The median comes from the
     # sorted view; the MAD is the median of |h - med|, computed as two
     # order statistics by binary search instead of a second segmented sort.
     nz = sizes > 0
-    med = _group_median_sorted(sorted_h, offsets, sizes)
+    med = group_median_sorted(sorted_h, offsets, sizes)
     mad = np.full(n_windows, np.nan)
     nz_starts = offsets[:-1][nz]
     nz_sizes = sizes[nz]

@@ -137,18 +137,26 @@ def stage_drift(
     segmentation: SegmentationResult,
     segments: dict[str, SegmentArray],
 ) -> dict[str, Any]:
-    """Estimate S2 drift from the first beam and align the image.
+    """Estimate S2 drift from the first beam.
 
     Matches the monolith: drift is estimated once, from the granule's first
-    beam, and the aligned image feeds every beam's auto-labeling.
+    beam, and the image aligned by it feeds every beam's auto-labeling.
+    Only the estimate is an artifact: the aligned image shares the image's
+    bands and differs only in its origin, so consumers re-apply the shift
+    (:func:`_aligned`) instead of caching a second copy of the scene.
     """
     if not ctx.config.estimate_drift or not segments:
-        return {"drift": None, "aligned_image": image}
+        return {"drift": None}
     first = next(iter(segments.values()))
     drift = estimate_drift(
         image, segmentation.class_map, first.x_m, first.y_m, first.height_mean_m
     )
-    return {"drift": drift, "aligned_image": apply_shift(image, drift)}
+    return {"drift": drift}
+
+
+def _aligned(image: S2Image, drift: DriftEstimate | None) -> S2Image:
+    """The drift-corrected image: ``image`` itself when no drift was estimated."""
+    return image if drift is None else apply_shift(image, drift)
 
 
 def _autolabel_one(
@@ -162,11 +170,12 @@ def _autolabel_one(
 def stage_autolabel(
     ctx: StageContext,
     segments: dict[str, SegmentArray],
-    aligned_image: S2Image,
+    image: S2Image,
+    drift: DriftEstimate | None,
     segmentation: SegmentationResult,
 ) -> dict[str, Any]:
     mapped = ctx.map_items(
-        segments, partial(_autolabel_one, aligned_image, segmentation)
+        segments, partial(_autolabel_one, _aligned(image, drift), segmentation)
     )
     return {
         "auto_labels": {name: item[0] for name, item in mapped.items()},
@@ -179,7 +188,7 @@ def stage_curate(
     ctx: StageContext,
     scene: IceScene,
     granule: Granule,
-    aligned_image: S2Image,
+    image: S2Image,
     segmentation: SegmentationResult,
     drift: DriftEstimate | None,
     segments: dict[str, SegmentArray],
@@ -190,7 +199,7 @@ def stage_curate(
     data = ExperimentData(
         scene=scene,
         granule=granule,
-        image=aligned_image,
+        image=_aligned(image, drift),
         segmentation=segmentation,
         drift=drift,
         segments=segments,
@@ -334,7 +343,6 @@ def artifact_specs() -> list[ArtifactSpec]:
         ArtifactSpec("segmentation", SegmentationResult, "S2 image segmentation"),
         ArtifactSpec("segments", SegmentArray, "2 m resampled segments", per_beam=True),
         ArtifactSpec("drift", DriftEstimate, "estimated S2 drift", optional=True),
-        ArtifactSpec("aligned_image", S2Image, "drift-corrected Sentinel-2 scene"),
         ArtifactSpec("auto_labels", AutoLabelResult, "raw auto-labels", per_beam=True),
         ArtifactSpec("labels", np.ndarray, "corrected training labels", per_beam=True),
         ArtifactSpec(
@@ -384,13 +392,13 @@ def build_default_graph() -> StageGraph:
             "drift",
             stage_drift,
             ("image", "segmentation", "segments"),
-            ("drift", "aligned_image"),
+            ("drift",),
             ("estimate_drift",),
         ),
         Stage(
             "autolabel",
             stage_autolabel,
-            ("segments", "aligned_image", "segmentation"),
+            ("segments", "image", "drift", "segmentation"),
             ("auto_labels", "labels", "correction_reports"),
             (),
             fan_out=True,
@@ -401,7 +409,7 @@ def build_default_graph() -> StageGraph:
             (
                 "scene",
                 "granule",
-                "aligned_image",
+                "image",
                 "segmentation",
                 "drift",
                 "segments",

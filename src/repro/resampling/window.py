@@ -6,7 +6,9 @@ summarised by robust statistics of its signal photons (mean/median/std of
 height, photon counts, background rate, ...).  The implementation is
 vectorised: photons are already sorted by along-track distance, so window
 membership is a ``searchsorted`` over the window edges and every statistic is
-computed with ``np.add.reduceat``-style grouped reductions.
+a grouped array operation over all windows at once: ``reduceat`` sums and
+extrema, a segmented sort for the median and one ``bincount`` vote for the
+majority truth class.  No statistic loops over windows.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 
 from repro.atl03.granule import BeamData
 from repro.config import RESAMPLE_WINDOW_M
+from repro.kernels._segments import group_argsort, group_median_sorted
 from repro.utils.validation import ensure_positive
 
 
@@ -178,12 +181,37 @@ def _grouped_reduce(values: np.ndarray, boundaries: np.ndarray, func: str) -> np
         out[non_empty] = np.maximum.reduceat(values, boundaries[:-1][non_empty])
         return out
     if func == "median":
-        # Median has no reduceat; do it per group but only over non-empty ones.
-        idx = np.flatnonzero(non_empty)
-        for i in idx:
-            out[i] = np.median(values[boundaries[i]:boundaries[i + 1]])
-        return out
+        # Median has no reduceat: sort every group's values at once and
+        # pick the middle elements.
+        first, last = boundaries[0], boundaries[-1]
+        group = np.repeat(np.arange(n_groups), counts)
+        grouped = values[first:last]
+        ordered = grouped[group_argsort(grouped, group, n_groups)]
+        return group_median_sorted(ordered, boundaries - first, counts)
     raise ValueError(f"unsupported reduction {func!r}")
+
+
+def _majority_class(classes: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
+    """Most frequent class per contiguous group; ties go to the lowest class.
+
+    One ``bincount`` over ``group * n_classes + (class - lowest)`` keys
+    gives every group's class histogram; ``argmax`` takes the first maximum,
+    as ``np.unique`` + ``argmax`` does.  Empty groups get -1.
+    """
+    n_groups = boundaries.shape[0] - 1
+    counts = np.diff(boundaries)
+    out = np.full(n_groups, -1, dtype=np.int8)
+    members = classes[boundaries[0]:boundaries[-1]].astype(np.int64)
+    if members.size == 0:
+        return out
+    lowest = int(members.min())
+    n_classes = int(members.max()) - lowest + 1
+    group = np.repeat(np.arange(n_groups), counts)
+    votes = np.bincount(group * n_classes + (members - lowest), minlength=n_groups * n_classes)
+    majority = votes.reshape(n_groups, n_classes).argmax(axis=1) + lowest
+    non_empty = counts > 0
+    out[non_empty] = majority[non_empty]
+    return out
 
 
 def resample_fixed_window(
@@ -265,13 +293,8 @@ def resample_fixed_window(
     photon_rate = counts / shots_per_window
 
     # Majority ground-truth class per segment (evaluation only).
-    truth = np.full(n_segments, -1, dtype=np.int8)
+    truth = _majority_class(sig_truth, boundaries)
     non_empty = counts > 0
-    idx = np.flatnonzero(non_empty)
-    for i in idx:
-        seg_truth = sig_truth[boundaries[i]:boundaries[i + 1]]
-        vals, cnts = np.unique(seg_truth, return_counts=True)
-        truth[i] = vals[np.argmax(cnts)]
 
     # Geolocate empty segments by interpolating along the window centres so
     # downstream windowing still has coordinates for every segment.

@@ -50,7 +50,6 @@ def gaussian_random_field(
     kx = np.fft.fftfreq(nx)[None, :]
     k2 = kx**2 + ky**2
     # Gaussian spectral filter: exp(-(k * L)^2 / 2) with L in pixels.
-    filt = np.exp(-0.5 * k2 * (2.0 * np.pi * correlation_length_px) ** 2 / (2.0 * np.pi) ** 2 * (2.0 * np.pi) ** 2)
     filt = np.exp(-0.5 * k2 * (correlation_length_px * 2.0 * np.pi) ** 2)
     spec = np.fft.fft2(white) * np.sqrt(filt)
     field = np.real(np.fft.ifft2(spec))
@@ -102,6 +101,13 @@ def add_linear_leads(
     level.  This draws ``n_leads`` straight segments of the given pixel width
     and stamps them with ``lead_class``.
 
+    A pixel is stamped when its distance from the lead's centre line is at
+    most ``width_px / 2`` and its projection along the line at most half the
+    lead's length.  That rectangle lies inside its axis-aligned bounding box
+    padded by ``width_px / 2 + 1`` pixels, so each lead's test runs only over
+    that box (clipped to the grid), with the same per-pixel float expressions
+    as a full-grid scan: the stamped pixels are identical, bit for bit.
+
     Returns a modified copy of ``class_map``.
     """
     if n_leads < 0:
@@ -111,16 +117,26 @@ def add_linear_leads(
     rng = default_rng(rng)
     out = np.array(class_map, copy=True)
     ny, nx = out.shape
-    yy, xx = np.mgrid[0:ny, 0:nx]
+    pad = width_px / 2.0 + 1.0
     for _ in range(n_leads):
         x0, y0 = rng.uniform(0, nx), rng.uniform(0, ny)
         angle = rng.uniform(0, np.pi)
         length = rng.uniform(0.3, 1.0) * max(nx, ny)
         dx, dy = np.cos(angle), np.sin(angle)
-        # Signed distance of every pixel from the lead's centre line and the
-        # projection of the pixel along the line (to bound the lead length).
+        reach_x = abs(dx) * length / 2.0 + pad
+        reach_y = abs(dy) * length / 2.0 + pad
+        x_lo = max(int(np.floor(x0 - reach_x)), 0)
+        x_hi = min(int(np.ceil(x0 + reach_x)) + 1, nx)
+        y_lo = max(int(np.floor(y0 - reach_y)), 0)
+        y_hi = min(int(np.ceil(y0 + reach_y)) + 1, ny)
+        if x_lo >= x_hi or y_lo >= y_hi:
+            continue
+        xx = np.arange(x_lo, x_hi)[None, :]
+        yy = np.arange(y_lo, y_hi)[:, None]
+        # Signed distance of every box pixel from the lead's centre line and
+        # the projection of the pixel along the line (to bound the lead length).
         dist = np.abs((xx - x0) * dy - (yy - y0) * dx)
         along = (xx - x0) * dx + (yy - y0) * dy
         mask = (dist <= width_px / 2.0) & (np.abs(along) <= length / 2.0)
-        out[mask] = lead_class
+        out[y_lo:y_hi, x_lo:x_hi][mask] = lead_class
     return out
